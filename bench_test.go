@@ -357,14 +357,6 @@ func BenchmarkControlEpoch(b *testing.B) {
 	})
 }
 
-// BenchmarkMillionDiskEpoch is the ROADMAP scale target in benchmark
-// form: one epoch of a ~10⁶-disk farm at the break-even threshold. The
-// farm is mostly cold — every disk arms an idle timer at t=0 and spins
-// down at 53.3 s — while 10⁵ requests land on a 128k-file active
-// subset, forcing spin-ups and queueing behind wake-ups. The dominant
-// cost is the event kernel itself (≈2.2M timer events beyond the
-// request path), so this benchmark tracks exactly what the calendar
-// queue and free list are for. Reports wall-clock request throughput.
 // millionDiskSetup builds the 2²⁰-disk, 10⁵-request epoch shared by
 // the sequential and parallel million-disk benches.
 func millionDiskSetup() (*trace.Trace, []int, storage.Config, int) {
@@ -392,6 +384,16 @@ func millionDiskSetup() (*trace.Trace, []int, storage.Config, int) {
 	return tr, assign, storage.Config{NumDisks: nDisks, IdleThreshold: storage.BreakEven}, nReqs
 }
 
+// BenchmarkMillionDiskEpoch is the ROADMAP scale target in benchmark
+// form: one epoch of a ~10⁶-disk farm at the break-even threshold. The
+// farm is mostly cold — every disk arms an idle timeout at t=0 and
+// spins down at 53.3 s — while 10⁵ requests land on a 128k-file active
+// subset, forcing spin-ups and queueing behind wake-ups. Idle timeouts
+// are settled lazily and each shard's disks live in one slab, so the
+// cold disks cost construction and a settle at the horizon but no
+// events and no per-disk allocations: events and allocations scale
+// with the requests and the disks they touch, not with the farm.
+// Reports wall-clock request throughput.
 func BenchmarkMillionDiskEpoch(b *testing.B) {
 	tr, assign, cfg, nReqs := millionDiskSetup()
 	b.ReportAllocs()

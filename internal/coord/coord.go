@@ -274,6 +274,9 @@ type Coordinator struct {
 
 	// now is the clock, a test seam.
 	now func() time.Time
+	// maxBody caps a request body in bytes (maxBodyBytes; lowered by
+	// tests).
+	maxBody int64
 
 	// Observability. fp is the sweep fingerprint span IDs derive
 	// from; start is the time origin grant spans measure against;
@@ -327,6 +330,7 @@ func New(sweep farm.Sweep, seed int64, cfg Config) (*Coordinator, error) {
 		pending:     comp.NumPoints(),
 		done:        make(chan struct{}),
 		now:         time.Now,
+		maxBody:     maxBodyBytes,
 		fp:          comp.Fingerprint(),
 		start:       time.Now(),
 		spans:       cfg.Spans,
@@ -591,10 +595,32 @@ func (co *Coordinator) batchLocked() int {
 	return n
 }
 
+// maxBodyBytes caps a protocol request body. The largest legitimate
+// body, a submit carrying one point's result, is orders of magnitude
+// smaller; the cap only stops a broken or hostile client from making
+// the coordinator buffer without bound.
+const maxBodyBytes = 64 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most co.maxBody
+// bytes. On failure it answers 413 for an oversized body and 400 for a
+// malformed one, naming what was being decoded, and returns false.
+func (co *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, co.maxBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, fmt.Sprintf("coord: decoding %s: %v", what, err), status)
+	return false
+}
+
 func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("coord: decoding lease request: %v", err), http.StatusBadRequest)
+	if !co.decodeBody(w, r, "lease request", &req) {
 		return
 	}
 	co.mu.Lock()
@@ -661,8 +687,7 @@ func (co *Coordinator) grantSpanLocked(i int, s *pointState, end time.Time, stat
 
 func (co *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("coord: decoding heartbeat: %v", err), http.StatusBadRequest)
+	if !co.decodeBody(w, r, "heartbeat", &req) {
 		return
 	}
 	co.mu.Lock()
@@ -688,8 +713,7 @@ func (co *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("coord: decoding submission: %v", err), http.StatusBadRequest)
+	if !co.decodeBody(w, r, "submission", &req) {
 		return
 	}
 	// Reject results that disagree with the compiled grid before taking
@@ -812,8 +836,7 @@ func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // pool.
 func (co *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
 	var req FailRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("coord: decoding fail report: %v", err), http.StatusBadRequest)
+	if !co.decodeBody(w, r, "fail report", &req) {
 		return
 	}
 	if req.Index < 0 || req.Index >= co.comp.NumPoints() {

@@ -491,3 +491,36 @@ func TestPoisonPointFailsRun(t *testing.T) {
 		t.Errorf("poison error does not name the point and cause: %v", err)
 	}
 }
+
+// Every decoded protocol body is capped: an oversized lease,
+// heartbeat, submit or fail body is refused with 413 before it is
+// buffered, and a body under the cap is still served.
+func TestOversizedBodyRejected(t *testing.T) {
+	co, err := New(fixtureSweep(), 1, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	co.maxBody = 1 << 10
+	srv := startServer(t, co)
+	huge := strings.Repeat("w", 2<<10)
+	for path, body := range map[string]any{
+		"/v1/lease":     LeaseRequest{Worker: huge, Max: 1},
+		"/v1/heartbeat": HeartbeatRequest{Worker: huge},
+		"/v1/submit":    SubmitRequest{Worker: huge},
+		"/v1/fail":      FailRequest{Worker: huge, Error: huge},
+	} {
+		if resp := postJSON(t, srv.URL+path, body, nil); resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte worker name: status %d, want 413", path, len(huge), resp.StatusCode)
+		}
+	}
+	var lease LeaseResponse
+	if resp := postJSON(t, srv.URL+"/v1/lease", LeaseRequest{Worker: "w", Max: 1}, &lease); resp.StatusCode != http.StatusOK {
+		t.Fatalf("small lease request: status %d, want 200", resp.StatusCode)
+	}
+	if len(lease.Points) != 1 {
+		t.Errorf("small lease request granted %d points, want 1", len(lease.Points))
+	}
+	if co.Status().Done != 0 {
+		t.Error("a refused body changed the queue")
+	}
+}

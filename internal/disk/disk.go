@@ -94,7 +94,10 @@ func EcoParams() Params {
 }
 
 // Validate reports the first implausible parameter, or nil.
-func (p Params) Validate() error {
+func (p Params) Validate() error { return p.validate() }
+
+// validate is Validate without copying p, for per-disk construction.
+func (p *Params) validate() error {
 	switch {
 	case p.TransferRate <= 0:
 		return fmt.Errorf("disk: TransferRate %v must be positive", p.TransferRate)
@@ -186,7 +189,11 @@ func (s State) String() string {
 }
 
 // Power returns the wattage drawn in state s under params p.
-func (p Params) Power(s State) float64 {
+func (p Params) Power(s State) float64 { return p.power(s) }
+
+// power is Power without the copy of p a value receiver costs on the
+// per-transition path.
+func (p *Params) power(s State) float64 {
 	switch s {
 	case Idle:
 		return p.IdlePower
@@ -258,10 +265,18 @@ type Request struct {
 // Submit; spin-down policy, queueing, and energy accounting are
 // internal. Metrics accessors are valid any time; call Finalize once at
 // the end of the run to close the last accounting segment.
+//
+// The idle timeout is settled lazily rather than scheduled: an idle
+// disk records its spin-down deadline (and the FIFO position the timer
+// event would have taken), and the spin-down and the standby that
+// follows it are applied at their exact times the next time the disk
+// is touched — by Submit, Finalize, or any state or accounting
+// accessor. A farm of mostly cold disks therefore costs no events for
+// the disks that never serve a request.
 type Disk struct {
 	ID     int
 	env    *sim.Env
-	params Params
+	params *Params // shared with the caller, never written
 	policy SpinPolicy
 
 	state      State
@@ -271,10 +286,14 @@ type Disk struct {
 	energy     float64
 	stateDur   [numStates]float64
 
-	queue     []*Request // head-indexed deque: live entries are queue[qhead:]
-	qhead     int
-	idleTimer sim.Event
-	wantUp    bool // a request arrived while spinning down
+	queue []*Request // head-indexed deque: live entries are queue[qhead:]
+	qhead int
+	// deadline is when the armed idle timeout spins the disk down
+	// (+Inf when none is armed); deadlineSeq is the FIFO position
+	// reserved for it, which orders it against same-time events.
+	deadline    sim.Time
+	deadlineSeq uint64
+	wantUp      bool // a request arrived while spinning down
 
 	spinUps   int
 	spinDowns int
@@ -294,6 +313,11 @@ type Disk struct {
 // threshold is the fixed idleness threshold in seconds; use
 // params.BreakEvenThreshold() for the paper's policy or NeverSpinDown to
 // disable spin-down. New panics on invalid params or negative threshold.
+//
+// The timeout is settled lazily (see Disk): no event marks it, so
+// Env.Run stops at the last real event without advancing the clock to
+// a pending spin-down. Advance the env with RunUntil(horizon) before
+// reading the disk, or call Finalize at the horizon.
 func New(env *sim.Env, id int, params Params, threshold float64) *Disk {
 	if threshold < 0 || math.IsNaN(threshold) {
 		panic(fmt.Sprintf("disk: invalid idleness threshold %v", threshold))
@@ -303,26 +327,34 @@ func New(env *sim.Env, id int, params Params, threshold float64) *Disk {
 
 // NewWithPolicy returns a disk whose spin-down timing is governed by an
 // arbitrary SpinPolicy (see internal/policy for adaptive and randomized
-// implementations).
+// implementations). The policy's first Timeout is drawn here, and the
+// idle timeout is settled lazily as for New.
 func NewWithPolicy(env *sim.Env, id int, params Params, pol SpinPolicy) *Disk {
-	if err := params.Validate(); err != nil {
+	d := new(Disk)
+	InitWithPolicy(d, env, id, &params, pol)
+	return d
+}
+
+// InitWithPolicy is NewWithPolicy building the disk in place at d,
+// overwriting whatever d held, so a caller can lay out many disks in
+// one slab instead of allocating each. params is shared, not copied,
+// so disks of one drive model can point at one Params; it must not
+// change while the disk is in use.
+func InitWithPolicy(d *Disk, env *sim.Env, id int, params *Params, pol SpinPolicy) {
+	if err := params.validate(); err != nil {
 		panic(err)
 	}
 	if pol == nil {
 		panic("disk: nil SpinPolicy")
 	}
-	d := &Disk{
-		ID:         id,
-		env:        env,
-		params:     params,
-		policy:     pol,
-		state:      Idle,
-		lastChange: env.Now(),
-		idleSince:  env.Now(),
-		inGap:      true,
-	}
+	// Field by field rather than from a composite literal, which
+	// would build the whole Disk on the stack and copy it in.
+	*d = Disk{}
+	d.ID, d.env, d.params, d.policy = id, env, params, pol
+	d.state = Idle
+	d.lastChange, d.idleSince = env.Now(), env.Now()
+	d.inGap = true
 	d.armIdleTimer()
-	return d
 }
 
 // SetRecorder attaches a state-timeline recorder (nil detaches). The
@@ -346,10 +378,13 @@ func StateNames() []string {
 }
 
 // Params returns the drive parameters.
-func (d *Disk) Params() Params { return d.params }
+func (d *Disk) Params() Params { return *d.params }
 
 // State returns the current power state.
-func (d *Disk) State() State { return d.state }
+func (d *Disk) State() State {
+	d.settle()
+	return d.state
+}
 
 // QueueLen returns the number of requests waiting or in service.
 func (d *Disk) QueueLen() int { return len(d.queue) - d.qhead }
@@ -364,7 +399,10 @@ func (d *Disk) BytesRead() int64 { return d.bytesRead }
 func (d *Disk) SpinUps() int { return d.spinUps }
 
 // SpinDowns returns the number of spin-down transitions performed.
-func (d *Disk) SpinDowns() int { return d.spinDowns }
+func (d *Disk) SpinDowns() int {
+	d.settle()
+	return d.spinDowns
+}
 
 // PeakQueueLen returns the largest queue length observed (including the
 // request in service).
@@ -377,6 +415,7 @@ func (d *Disk) Submit(req *Request) {
 	if d.finalized {
 		panic("disk: Submit after Finalize")
 	}
+	d.settle()
 	if d.inGap {
 		// The idle gap that began at the last service completion ends
 		// now; adaptive policies learn from its length.
@@ -401,23 +440,31 @@ func (d *Disk) Submit(req *Request) {
 	}
 	switch d.state {
 	case Idle:
-		d.cancelIdleTimer()
+		d.deadline = noDeadline
 		d.startNext()
 	case Standby:
 		d.beginSpinUp()
 	case SpinningDown:
-		d.wantUp = true
+		if !d.wantUp {
+			// The spin-down completes as a real event now, so the
+			// spin-up can follow it.
+			d.wantUp = true
+			d.env.AtArg(d.lastChange+d.params.SpinDownTime, spinDownDoneCB, d)
+		}
 	case SpinningUp, Seeking, Transferring:
 		// Queued; the in-flight transition or service will drain it.
 	}
 }
 
-// transition moves to state s, charging the elapsed segment to the
+// transition moves to state s now, charging the elapsed segment to the
 // previous state.
-func (d *Disk) transition(s State) {
-	now := d.env.Now()
+func (d *Disk) transition(s State) { d.transitionAt(s, d.env.Now()) }
+
+// transitionAt moves to state s at time now (no earlier than the last
+// change), charging the elapsed segment to the previous state.
+func (d *Disk) transitionAt(s State, now sim.Time) {
 	dt := now - d.lastChange
-	d.energy += d.params.Power(d.state) * dt
+	d.energy += d.params.power(d.state) * dt
 	d.stateDur[d.state] += dt
 	if d.rec != nil && s != d.state {
 		d.rec.StateChange(d.ID, float64(now), int(s))
@@ -438,13 +485,29 @@ func (d *Disk) enterIdle() {
 // Event callbacks are package-level functions taking the disk as the
 // boxed argument: sim.ScheduleArg with a static func and a pointer arg
 // performs no per-event allocation, unlike method values or closures.
-func idleTimeoutCB(a any)  { a.(*Disk).onIdleTimeout() }
 func spinDownDoneCB(a any) { a.(*Disk).onSpinDownComplete() }
 func spinUpDoneCB(a any)   { a.(*Disk).onSpinUpComplete() }
 func seekDoneCB(a any)     { a.(*Disk).onSeekDone() }
 func transferDoneCB(a any) { a.(*Disk).onTransferDone() }
 
+// noDeadline marks that no idle timeout is armed; Passed never
+// reports +Inf as reached.
+var noDeadline = math.Inf(1)
+
+// afterAllSeq is a FIFO position later than any real event's. The
+// eager spin-down-complete event took its position when the timeout
+// fired, after every trace arrival's reserved one, so an arrival at
+// exactly the completion instant found the disk still spinning down;
+// after RunUntil returns, the completion at the boundary has fired.
+const afterAllSeq = math.MaxUint64 - 1
+
+// armIdleTimer draws the policy's timeout for the idle period starting
+// now and records its deadline. Nothing is scheduled: the FIFO
+// position the timer event would have taken is reserved, which keeps
+// every other event's tie order unchanged, and settle applies the
+// spin-down once the deadline has passed.
 func (d *Disk) armIdleTimer() {
+	d.deadline = noDeadline
 	t := d.policy.Timeout()
 	if math.IsInf(t, 1) {
 		return
@@ -452,31 +515,36 @@ func (d *Disk) armIdleTimer() {
 	if t < 0 || math.IsNaN(t) {
 		panic(fmt.Sprintf("disk: policy returned invalid timeout %v", t))
 	}
-	d.idleTimer = d.env.ScheduleArg(t, idleTimeoutCB, d)
+	d.deadline = d.env.Now() + t
+	d.deadlineSeq = d.env.ReserveSeqs(1)
 }
 
-func (d *Disk) cancelIdleTimer() {
-	d.idleTimer.Cancel()
-}
-
-func (d *Disk) onIdleTimeout() {
-	if d.state != Idle || d.QueueLen() > 0 {
+// settle applies the idle timeout's effects up to the env's current
+// position: the spin-down at the deadline, then the standby
+// SpinDownTime later, each at its own time. A spin-down interrupted by
+// a request completes through a real event instead (see Submit).
+func (d *Disk) settle() {
+	if d.finalized {
 		return
 	}
-	d.transition(SpinningDown)
-	d.spinDowns++
-	d.env.ScheduleArg(d.params.SpinDownTime, spinDownDoneCB, d)
+	if d.state == Idle && d.env.Passed(d.deadline, d.deadlineSeq) {
+		d.transitionAt(SpinningDown, d.deadline)
+		d.spinDowns++
+		d.deadline = noDeadline
+	}
+	if d.state == SpinningDown && !d.wantUp {
+		if end := d.lastChange + d.params.SpinDownTime; d.env.Passed(end, afterAllSeq) {
+			d.transitionAt(Standby, end)
+		}
+	}
 }
 
+// onSpinDownComplete fires only for a spin-down a request arrived
+// during: charge the completed spin-down segment, then immediately
+// start spinning back up.
 func (d *Disk) onSpinDownComplete() {
-	if d.wantUp || d.QueueLen() > 0 {
-		d.wantUp = false
-		// Charge the completed spin-down segment, then immediately
-		// start spinning back up.
-		d.beginSpinUp()
-		return
-	}
-	d.transition(Standby)
+	d.wantUp = false
+	d.beginSpinUp()
 }
 
 func (d *Disk) beginSpinUp() {
@@ -530,37 +598,47 @@ func (d *Disk) onTransferDone() {
 	d.enterIdle()
 }
 
-// Finalize closes the open accounting segment at the current simulated
-// time. Further Submits panic; metrics accessors return final values.
-// Calling Finalize more than once is a no-op after the first.
+// Finalize settles the idle timeout and closes the open accounting
+// segment at the current simulated time, so call it with the env at
+// the horizon (after RunUntil(horizon)). Further Submits panic;
+// metrics accessors return final values. Calling Finalize more than
+// once is a no-op after the first.
 func (d *Disk) Finalize() {
 	if d.finalized {
 		return
 	}
+	d.settle()
 	d.transition(d.state) // charge the tail segment
-	d.cancelIdleTimer()
 	d.finalized = true
 }
 
 // Energy returns the energy consumed so far in joules (up to the last
 // state change; call Finalize for an exact end-of-run figure).
-func (d *Disk) Energy() float64 { return d.energy }
+func (d *Disk) Energy() float64 {
+	d.settle()
+	return d.energy
+}
 
 // EnergyAt returns the energy consumed through simulated time t >= the
 // last state change, extending the current state.
 func (d *Disk) EnergyAt(t sim.Time) float64 {
-	return d.energy + d.params.Power(d.state)*(t-d.lastChange)
+	d.settle()
+	return d.energy + d.params.power(d.state)*(t-d.lastChange)
 }
 
 // StateDuration returns the cumulative time spent in state s (up to the
 // last state change).
-func (d *Disk) StateDuration(s State) float64 { return d.stateDur[s] }
+func (d *Disk) StateDuration(s State) float64 {
+	d.settle()
+	return d.stateDur[s]
+}
 
 // StateDurationAt returns the cumulative time spent in state s through
 // simulated time t >= the last state change, extending the open segment
 // — the mid-run counterpart of StateDuration, which misses the segment
 // still in progress.
 func (d *Disk) StateDurationAt(s State, t sim.Time) float64 {
+	d.settle()
 	dur := d.stateDur[s]
 	if d.state == s {
 		dur += t - d.lastChange
@@ -580,6 +658,7 @@ type Breakdown struct {
 
 // Breakdown returns the current accounting snapshot.
 func (d *Disk) Breakdown() Breakdown {
+	d.settle()
 	return Breakdown{
 		Durations: d.stateDur,
 		Energy:    d.energy,

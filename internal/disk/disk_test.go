@@ -252,7 +252,7 @@ func TestIdleTimerResetAfterService(t *testing.T) {
 	env.Schedule(40, func() {
 		d.Submit(&Request{FileID: 1, Size: 72 * MB, Arrival: 40})
 	})
-	env.Run()
+	env.RunUntil(1000)
 	// Service ends ≈ 41.01; timer re-arms; spin-down at ≈ 91, standby
 	// at ≈ 101.
 	if d.State() != Standby {

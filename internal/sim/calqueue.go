@@ -162,11 +162,18 @@ func (q *calQueue) drainNextRung() {
 	}
 }
 
+// sparseTop is the top size below which reseed skips bucketing. With
+// only a handful of events pending (a small farm between arrivals),
+// dealing them over numRungs buckets makes every drain walk a run of
+// empty buckets, which costs far more than the few O(log b) heap
+// inserts it saves.
+const sparseTop = 64
+
 // reseed deals the unsorted top into a fresh set of rungs sized to the
 // top's observed span — the width-adaptation step of the calendar
-// queue. Degenerate spans (all equal, or non-finite timestamps) fall
-// back to dumping the top straight into the bottom heap, which is
-// always correct.
+// queue. Sparse tops (fewer than sparseTop events) and degenerate
+// spans (all equal, or non-finite timestamps) fall back to dumping the
+// top straight into the bottom heap, which is always correct.
 func (q *calQueue) reseed() {
 	tmin, tmax := q.top[0].at, q.top[0].at
 	for _, n := range q.top[1:] {
@@ -180,10 +187,11 @@ func (q *calQueue) reseed() {
 	batch := q.top
 	q.top = q.top[:0]
 	w := (tmax - tmin) / Time(numRungs-1)
-	if w <= 0 || math.IsInf(w, 1) || math.IsNaN(w) {
-		// Zero span or unrepresentable width: no bucketing possible.
-		// Disable rung routing (stale epoch boundaries must not claim
-		// new pushes) and dump the batch into the bottom heap. The new
+	if len(batch) < sparseTop || w <= 0 || math.IsInf(w, 1) || math.IsNaN(w) {
+		// Sparse top, zero span or unrepresentable width: no bucketing
+		// worth doing. Disable rung routing (stale epoch boundaries
+		// must not claim new pushes) and dump the batch into the
+		// bottom heap. The new
 		// bound must be *strictly* above tmax — bottomMax is exclusive,
 		// and the batch includes events at tmax, so a later push at
 		// exactly tmax has to reach the bottom heap where seq breaks

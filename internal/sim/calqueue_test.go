@@ -343,3 +343,30 @@ func BenchmarkEnvScheduleCancel(b *testing.B) {
 		env.Step()
 	}
 }
+
+// A sparse top (fewer than sparseTop events) is dealt straight into the
+// bottom heap rather than over numRungs mostly-empty buckets; a dense
+// one still gets rungs. Both fire in time order.
+func TestSparseTopSkipsRungs(t *testing.T) {
+	for _, n := range []int{sparseTop - 1, 4 * sparseTop} {
+		env := NewEnv()
+		var got []Time
+		for i := 0; i < n; i++ {
+			at := Time(1 + (i*37)%n) // distinct times, pushed out of order
+			env.AtArg(at, func(a any) { got = append(got, a.(Time)) }, at)
+		}
+		env.Step() // the first pop reseeds the whole top
+		if sparse := env.q.rungW == 0; sparse != (n < sparseTop) {
+			t.Errorf("%d events: heap-only reseed = %v, want %v", n, sparse, n < sparseTop)
+		}
+		env.Run()
+		if len(got) != n {
+			t.Fatalf("%d events: fired %d", n, len(got))
+		}
+		for i := 1; i < n; i++ {
+			if got[i] < got[i-1] {
+				t.Fatalf("%d events: fired out of order at %d: %v after %v", n, i, got[i], got[i-1])
+			}
+		}
+	}
+}

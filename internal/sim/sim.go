@@ -99,6 +99,7 @@ type Env struct {
 	now       Time
 	q         calQueue
 	seq       uint64
+	pos       uint64 // events at now with seq < pos have fired (see Passed)
 	stepCount uint64 // fired events, for diagnostics
 	free      []*node
 	slab      []node // current allocation block, carved into nodes
@@ -271,6 +272,7 @@ func (env *Env) Step() bool {
 		return false
 	}
 	env.now = n.at
+	env.pos = n.seq
 	env.stepCount++
 	fn, arg := n.fn, n.arg
 	// Recycle before invoking: the callback may schedule (reusing this
@@ -285,6 +287,7 @@ func (env *Env) Step() bool {
 func (env *Env) Run() {
 	for env.Step() {
 	}
+	env.pos = math.MaxUint64
 }
 
 // RunUntil fires events with timestamps <= deadline, then advances the
@@ -302,6 +305,18 @@ func (env *Env) RunUntil(deadline Time) {
 		env.Step()
 	}
 	env.now = deadline
+	env.pos = math.MaxUint64
+}
+
+// Passed reports whether an event at (t, seq) would already have fired
+// at the current position in the run: inside Step the position is the
+// firing event's (Now, seq); after RunUntil or Run returns it is (Now,
+// +∞). Models that keep a deadline instead of scheduling it (reserving
+// its FIFO position with ReserveSeqs) settle it with Passed, which
+// orders it against the running event by exactly the (at, seq) rule the
+// queue uses.
+func (env *Env) Passed(t Time, seq uint64) bool {
+	return t < env.now || (t == env.now && seq < env.pos)
 }
 
 // RunWindows advances the simulation to horizon in epoch-length

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -384,5 +385,32 @@ func BenchmarkEventQueueChurn(b *testing.B) {
 		}
 		fired++
 		env.Schedule(rng.Float64()*1000, func() {})
+	}
+}
+
+// Passed orders an unscheduled event at (t, seq) against the run
+// position by the queue's own (at, seq) rule: inside a step, only
+// same-time events with an earlier FIFO position have fired; after
+// RunUntil, everything at the boundary has.
+func TestPassed(t *testing.T) {
+	env := NewEnv()
+	early := env.ReserveSeqs(1) // position taken before the event below
+	if env.Passed(0, early) {
+		t.Error("an event at t=0 reads as fired before any step")
+	}
+	var early5, late5 bool
+	env.At(5, func() {
+		early5 = env.Passed(5, early)
+		late5 = env.Passed(5, math.MaxUint64-1)
+	})
+	env.RunUntil(5)
+	if !early5 || late5 {
+		t.Errorf("inside the t=5 step: earlier position fired = %v, later = %v; want true, false", early5, late5)
+	}
+	if !env.Passed(5, math.MaxUint64-1) {
+		t.Error("after RunUntil(5), an event at 5 reads as not fired")
+	}
+	if env.Passed(5.5, early) {
+		t.Error("an event after the boundary reads as fired")
 	}
 }

@@ -32,14 +32,15 @@ import (
 //
 // Byte-identity with the sequential kernel holds because each shard's
 // event order is the sequential order restricted to that shard:
-// shard construction arms disk idle timers in ascending global disk
-// order, every shard reserves FIFO positions for the FULL trace (so
-// arrival i keeps sequential tie-breaking rank i wherever it lands),
-// and runtime-scheduled events (services, timers) claim positions
-// after the reserved block in both executions. Runs that DO couple
-// disks mid-window — a farm-global front cache, or write placement
-// for unplaced files (which scans every disk) — are detected by
-// ShardBlocker and routed to the single-shard path, never silently
+// shard construction arms disk idle timeouts (each reserving a FIFO
+// position) in ascending global disk order, every shard reserves FIFO
+// positions for the FULL trace (so arrival i keeps sequential
+// tie-breaking rank i wherever it lands), and runtime-scheduled events
+// (services, timeouts) claim positions after the reserved block in
+// both executions. Runs that DO couple disks mid-window — a
+// farm-global front cache, or write placement for unplaced files
+// (which scans every disk) — are detected by ShardBlocker and routed
+// to the single-shard path, never silently
 // approximated.
 
 // ParallelConfig selects how many shards execute one simulation.
@@ -268,8 +269,10 @@ func newRunner(tr *trace.Trace, assign []int, cfg Config, sc *StreamConfig, par 
 	// Per-shard machines. Disk construction iterates GLOBAL disk order
 	// so PolicyFactory is invoked exactly as sequentially (adaptive
 	// factories may be seeded per index but stateful across calls) and
-	// each shard's idle timers arm in ascending order — the property
-	// the byte-identity argument rests on.
+	// each shard's idle timeouts arm in ascending order — the property
+	// the byte-identity argument rests on. Each shard's disks live in
+	// one slab, so a cold farm costs one allocation per shard, not one
+	// per disk.
 	r.shards = make([]*machine, nshards)
 	shardDisks := make([]int, nshards)
 	if r.shardOf == nil {
@@ -279,8 +282,10 @@ func newRunner(tr *trace.Trace, assign []int, cfg Config, sc *StreamConfig, par 
 			shardDisks[s]++
 		}
 	}
+	slabs := make([][]disk.Disk, nshards)
 	for s := range r.shards {
 		m := &machine{run: r, id: s, env: sim.NewEnv()}
+		slabs[s] = make([]disk.Disk, shardDisks[s])
 		m.disks = make([]*disk.Disk, 0, shardDisks[s])
 		if sc != nil || nshards > 1 {
 			m.diskID = make([]int, 0, shardDisks[s])
@@ -292,26 +297,37 @@ func newRunner(tr *trace.Trace, assign []int, cfg Config, sc *StreamConfig, par 
 		m.rebuildFn = m.onRebuildDone
 		r.shards[s] = m
 	}
+	// Fixed thresholds are boxed once per distinct value, not per disk:
+	// one policy serves a homogeneous farm (normalized resolved its
+	// BreakEven), one per drive model a mixed farm at break-even.
+	uniform := disk.SpinPolicy(fixedTimeout(cfg.IdleThreshold))
+	breakEven := map[float64]disk.SpinPolicy{}
 	for d := 0; d < cfg.NumDisks; d++ {
 		s := 0
 		if r.shardOf != nil {
 			s = int(r.shardOf[d])
 		}
 		m := r.shards[s]
-		p := cfg.paramsFor(d)
+		p := r.cfg.paramsFor(d)
 		var pol disk.SpinPolicy
 		switch {
 		case cfg.PolicyFactory != nil:
 			pol = cfg.PolicyFactory(d)
 		case cfg.IdleThreshold == BreakEven:
-			pol = fixedTimeout(p.BreakEvenThreshold())
+			t := p.BreakEvenThreshold()
+			if breakEven[t] == nil {
+				breakEven[t] = fixedTimeout(t)
+			}
+			pol = breakEven[t]
 		default:
-			pol = fixedTimeout(cfg.IdleThreshold)
+			pol = uniform
 		}
 		if m.acc != nil {
 			pol = &gapRecorder{inner: pol, acc: m.acc, group: m.acc.group(d)}
 		}
-		m.disks = append(m.disks, disk.NewWithPolicy(m.env, d, p, pol))
+		dk := &slabs[s][len(m.disks)]
+		disk.InitWithPolicy(dk, m.env, d, p, pol)
+		m.disks = append(m.disks, dk)
 		if m.diskID != nil {
 			m.diskID = append(m.diskID, d)
 		}
@@ -666,14 +682,15 @@ func (r *runner) results(horizon float64) *Results {
 		res.RebuildBytes = r.rel.rebuildBytes
 	}
 	var standbyTime, afrSum float64
+	lastUps, lastPowered, lastAFR := -1, 0.0, 0.0
 	for i := 0; i < r.cfg.NumDisks; i++ {
 		s := 0
 		if r.shardOf != nil {
 			s = int(r.shardOf[i])
 		}
 		d := r.shards[s].localDisk(i)
-		b := d.Breakdown()
-		res.PerDisk[i] = b
+		res.PerDisk[i] = d.Breakdown()
+		b := &res.PerDisk[i]
 		res.Energy += b.Energy
 		res.SpinUps += b.SpinUps
 		res.SpinDowns += b.SpinDowns
@@ -682,9 +699,15 @@ func (r *runner) results(horizon float64) *Results {
 			// Extrapolate this disk's observed duty profile to a year
 			// under the wear model; the farm AFR folds the per-disk
 			// figures in global disk order (order-canonical, so the
-			// modeled AFR is identical at any shard count).
+			// modeled AFR is identical at any shard count). Cold disks
+			// share one profile, so a repeat of the previous disk's
+			// inputs reuses its figure.
 			powered := horizon - b.Durations[disk.Standby]
-			afrSum += wear.AFR(float64(b.SpinUps)*86400/horizon, powered/horizon)
+			if b.SpinUps != lastUps || powered != lastPowered {
+				lastUps, lastPowered = b.SpinUps, powered
+				lastAFR = wear.AFR(float64(b.SpinUps)*86400/horizon, powered/horizon)
+			}
+			afrSum += lastAFR
 		}
 		if q := d.PeakQueueLen(); q > res.PeakQueue {
 			res.PeakQueue = q

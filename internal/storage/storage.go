@@ -110,12 +110,13 @@ func (c Config) normalized() (Config, error) {
 	return c, nil
 }
 
-// paramsFor returns disk i's drive model.
-func (c Config) paramsFor(i int) disk.Params {
+// paramsFor returns disk i's drive model, shared rather than copied:
+// every disk of a homogeneous farm points at the one DiskParams.
+func (c *Config) paramsFor(i int) *disk.Params {
 	if len(c.PerDisk) > 0 {
-		return c.PerDisk[i]
+		return &c.PerDisk[i]
 	}
-	return c.DiskParams
+	return &c.DiskParams
 }
 
 // Results reports the outcome of a run.
