@@ -219,13 +219,9 @@ func RunStream(spec Spec, seed int64, epoch float64, sink StreamSink) (*Metrics,
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	tr, err := BuildTrace(spec.Workload, seed)
+	tr, alloc, err := spec.inputs(seed)
 	if err != nil {
-		return nil, fmt.Errorf("farm %s: workload: %w", spec.Name, err)
-	}
-	alloc, err := spec.allocate(tr, seed+1)
-	if err != nil {
-		return nil, fmt.Errorf("farm %s: allocation: %w", spec.Name, err)
+		return nil, err
 	}
 	farmSize, perDisk, err := resolveFarmSize(spec, alloc)
 	if err != nil {

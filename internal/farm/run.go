@@ -125,11 +125,41 @@ func Plan(spec Spec, seed int64) (*Allocation, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	tr, err := BuildTrace(spec.Workload, seed)
+	tr, err := spec.buildTrace(seed)
 	if err != nil {
-		return nil, fmt.Errorf("farm %s: workload: %w", spec.Name, err)
+		return nil, err
 	}
 	return spec.allocate(tr, seed+1)
+}
+
+// buildTrace is BuildTrace framed with the spec's name.
+func (s Spec) buildTrace(seed int64) (*trace.Trace, error) {
+	tr, err := BuildTrace(s.Workload, seed)
+	if err != nil {
+		return nil, fmt.Errorf("farm %s: workload: %w", s.Name, err)
+	}
+	return tr, nil
+}
+
+// inputs is the input stage of an open-loop run: the workload trace at
+// seed and its allocation at seed+1. Its outputs depend only on the
+// workload, the allocation spec, the groups, and the seed, which is what
+// lets a compiled sweep share them among points (see inputMemo).
+func (s Spec) inputs(seed int64) (*trace.Trace, *Allocation, error) {
+	tr, err := s.buildTrace(seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	alloc, err := s.allocate(tr, seed+1)
+	if err != nil {
+		return nil, nil, allocErr(s, err)
+	}
+	return tr, alloc, nil
+}
+
+// allocErr frames an allocation-stage error with the spec's name.
+func allocErr(s Spec, err error) error {
+	return fmt.Errorf("farm %s: allocation: %w", s.Name, err)
 }
 
 // allocate runs the spec's allocation strategy over the trace's files.
@@ -333,19 +363,24 @@ func Run(spec Spec, seed int64) (*Metrics, error) {
 		}
 		return controlRunner(spec, seed)
 	}
-	tr, err := BuildTrace(spec.Workload, seed)
-	if err != nil {
-		return nil, fmt.Errorf("farm %s: workload: %w", spec.Name, err)
-	}
-	alloc, err := spec.allocate(tr, seed+1)
-	if err != nil {
-		return nil, fmt.Errorf("farm %s: allocation: %w", spec.Name, err)
-	}
-	farmSize, perDisk, err := resolveFarmSize(spec, alloc)
+	tr, alloc, err := spec.inputs(seed)
 	if err != nil {
 		return nil, err
 	}
-	threshold, factory, err := spec.spinConfig(perDisk, seed+2)
+	return spec.simulate(seed, tr, alloc)
+}
+
+// simulate is the simulate stage of an open-loop run: it sizes the
+// farm, maps the spin policy, runs the storage simulation over the
+// prepared inputs, and folds the result into Metrics. It only reads tr
+// and alloc, so one set of inputs can feed any number of runs,
+// concurrently too.
+func (s Spec) simulate(seed int64, tr *trace.Trace, alloc *Allocation) (*Metrics, error) {
+	farmSize, perDisk, err := resolveFarmSize(s, alloc)
+	if err != nil {
+		return nil, err
+	}
+	threshold, factory, err := s.spinConfig(perDisk, seed+2)
 	if err != nil {
 		return nil, err
 	}
@@ -354,13 +389,13 @@ func Run(spec Spec, seed int64) (*Metrics, error) {
 		PerDisk:       perDisk,
 		IdleThreshold: threshold,
 		PolicyFactory: factory,
-		CacheBytes:    spec.CacheBytes,
-		WriteBestFit:  spec.WriteBestFit,
-		Reliability:   spec.reliabilityConfig(seed),
+		CacheBytes:    s.CacheBytes,
+		WriteBestFit:  s.WriteBestFit,
+		Reliability:   s.reliabilityConfig(seed),
 		Obs:           CurrentRunObserver(),
-	}, storage.ParallelConfig{Workers: SimWorkers(), Label: spec.Name})
+	}, storage.ParallelConfig{Workers: SimWorkers(), Label: s.Name})
 	if err != nil {
-		return nil, fmt.Errorf("farm %s: simulation: %w", spec.Name, err)
+		return nil, fmt.Errorf("farm %s: simulation: %w", s.Name, err)
 	}
-	return assembleMetrics(spec, seed, farmSize, alloc, res), nil
+	return assembleMetrics(s, seed, farmSize, alloc, res), nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -20,11 +21,13 @@ import (
 
 // CompiledSweep is a sweep compiled against a seed: the grid's points,
 // executable one at a time. It is safe for concurrent use — RunPoint
-// does not mutate the compiled points.
+// does not mutate the compiled points, and the input memo its points
+// share builds each shared input once under a guard.
 type CompiledSweep struct {
 	decl   Sweep
 	seed   int64
 	points []Point
+	memo   *inputMemo
 }
 
 // Compile validates the sweep and expands its grid. The returned value
@@ -35,7 +38,7 @@ func Compile(sweep Sweep, seed int64) (*CompiledSweep, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CompiledSweep{decl: sweep, seed: seed, points: points}, nil
+	return &CompiledSweep{decl: sweep, seed: seed, points: points, memo: newInputMemo(points, seed)}, nil
 }
 
 // Sweep returns the compiled grid's declaration.
@@ -83,19 +86,22 @@ func (c *CompiledSweep) Descriptor(i int) ShardPoint {
 
 // RunPoint executes one grid point — farm.Run, or farm.Plan for
 // plan-only sweeps — at seed + the point's SeedOffset, exactly as
-// RunSweep would have run it. Errors carry no grid context; callers
-// wrap them with their own (sweep, shard, worker) framing.
+// RunSweep would have run it. Points that share a trace or an
+// allocation take it from the sweep's input memo instead of rebuilding
+// it; the result is the same either way. Errors carry no grid context;
+// callers wrap them with their own (sweep, shard, worker) framing.
 func (c *CompiledSweep) RunPoint(i int) (ShardPointResult, error) {
 	if i < 0 || i >= len(c.points) {
 		return ShardPointResult{}, fmt.Errorf("farm: point %d outside the %d-point grid", i, len(c.points))
 	}
+	defer c.memo.release(i)
 	p := &c.points[i]
 	res := ShardPointResult{Index: i, Label: p.Label}
 	var err error
-	if c.decl.PlanOnly {
-		res.Alloc, err = Plan(p.Spec, c.seed+p.SeedOffset)
-	} else {
+	if p.Spec.Control != nil && !c.decl.PlanOnly {
 		res.Metrics, err = Run(p.Spec, c.seed+p.SeedOffset)
+	} else {
+		res.Metrics, res.Alloc, err = c.runOpenLoop(i)
 	}
 	if err != nil {
 		return ShardPointResult{}, err
@@ -107,6 +113,35 @@ func (c *CompiledSweep) RunPoint(i int) (ShardPointResult, error) {
 		o.Metrics.SweepPoints.Inc()
 	}
 	return res, nil
+}
+
+// runOpenLoop is Run (or Plan, for plan-only sweeps) of point i with
+// its input stage served by the memo.
+func (c *CompiledSweep) runOpenLoop(i int) (*Metrics, *Allocation, error) {
+	p := &c.points[i]
+	spec, seed := p.Spec, c.seed+p.SeedOffset
+	if err := spec.Validate(); err != nil {
+		return nil, nil, err
+	}
+	tr, err := c.memo.trace(i, spec, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	alloc, err := c.memo.alloc(i, spec, seed, tr)
+	if c.decl.PlanOnly {
+		if err != nil {
+			return nil, nil, err
+		}
+		// Each point gets its own copy of a shared allocation.
+		own := *alloc
+		own.Assign = slices.Clone(alloc.Assign)
+		return nil, &own, nil
+	}
+	if err != nil {
+		return nil, nil, allocErr(spec, err)
+	}
+	m, err := spec.simulate(seed, tr, alloc)
+	return m, nil, err
 }
 
 // Check verifies a point descriptor against the compiled grid — the

@@ -1,9 +1,11 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"diskpack/internal/disk"
@@ -310,14 +312,22 @@ func (c NERSC) Build() (*trace.Trace, error) {
 		}
 		events = append(events, ev)
 	}
-	sort.Slice(events, func(a, b int) bool { return events[a].t < events[b].t })
+	// slices.SortFunc runs the same pdqsort as sort.Slice, so events at
+	// equal times land in sort.Slice's order.
+	slices.SortFunc(events, func(a, b event) int { return cmp.Compare(a.t, b.t) })
 
 	reqs := make([]trace.Request, 0, c.NumRequests)
-	var recent []int // ring of recently accessed files
+	// recent is a ring of the last RepeatWindow accessed files; the k-th
+	// oldest sits at recent[(head+k)%len(recent)].
+	recent := make([]int, 0, max(c.RepeatWindow, 0))
+	head := 0
 	remember := func(fi int) {
-		recent = append(recent, fi)
-		if len(recent) > c.RepeatWindow {
-			recent = recent[1:]
+		switch {
+		case len(recent) < c.RepeatWindow:
+			recent = append(recent, fi)
+		case len(recent) > 0:
+			recent[head] = fi
+			head = (head + 1) % len(recent)
 		}
 	}
 	for _, ev := range events {
@@ -334,7 +344,7 @@ func (c NERSC) Build() (*trace.Trace, error) {
 		}
 		var fi int
 		if c.RepeatFraction > 0 && len(recent) > 0 && rng.Float64() < c.RepeatFraction {
-			fi = recent[rng.Intn(len(recent))]
+			fi = recent[(head+rng.Intn(len(recent)))%len(recent)]
 		} else {
 			fi = perm[sampler.Sample(rng)]
 		}
@@ -349,8 +359,12 @@ func (c NERSC) Build() (*trace.Trace, error) {
 	return tr, nil
 }
 
+// sortBySize orders file IDs by size, equal sizes by ID: the stable
+// size order of IDs listed in ascending order.
 func sortBySize(idx []int, files []trace.FileInfo) {
-	sort.SliceStable(idx, func(a, b int) bool { return files[idx[a]].Size < files[idx[b]].Size })
+	slices.SortFunc(idx, func(a, b int) int {
+		return cmp.Or(cmp.Compare(files[a].Size, files[b].Size), cmp.Compare(a, b))
+	})
 }
 
 // MarkWrites converts the first access of a fraction of files into a
