@@ -169,12 +169,25 @@ func (s *Sample) Median() float64 { return s.Quantile(0.5) }
 // AppendValues appends the sample's observations to dst and returns
 // the extended slice. The order is unspecified (Quantile sorts the
 // backing array in place); callers that need a canonical order must
-// sort the result. This is the escape hatch parallel reductions use to
-// merge per-shard samples exactly: concatenating shards' values and
-// sorting yields the same multiset — and therefore the same sorted
-// array, bit for bit — regardless of how the observations were split.
+// sort the result. Parallel reductions that merge per-shard samples
+// exactly should instead take each shard's SortedValues and combine
+// them with MergeSorted: any split of the same observations merges to
+// the same sorted array, bit for bit, without sorting the union.
 func (s *Sample) AppendValues(dst []float64) []float64 {
 	return append(dst, s.xs...)
+}
+
+// SortedValues sorts the observations in place, unless they already
+// are, and returns them in ascending order (see SortFloat64s; scratch
+// is its radix buffer, and nil or a short one means a comparison
+// sort). The slice aliases the sample: it is valid until the next Add
+// or Reset and must not be modified.
+func (s *Sample) SortedValues(scratch []float64) []float64 {
+	if !s.sorted {
+		SortFloat64s(s.xs, scratch)
+		s.sorted = true
+	}
+	return s.xs
 }
 
 // SortedMean returns the mean of xs accumulated in index order. On a

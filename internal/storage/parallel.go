@@ -123,6 +123,7 @@ type runner struct {
 	bufs        [2]Window
 	windex      int
 	respScratch []float64
+	respRuns    [][]float64
 	prevHits    int64
 	prevMisses  int64
 	prevMigE    float64
@@ -476,7 +477,7 @@ func (r *runner) rescanArrivals(now float64) {
 // double-buffered Window. Group rows copy bit-exactly from their
 // owning shard (a group never splits); the farm-wide Total folds the
 // group rows in fixed group order, sums histograms exactly (integers),
-// and computes response statistics from the concatenated-then-sorted
+// and computes response statistics from the merge of the sorted
 // per-group samples — an order-canonical reduction that makes the
 // merged quantiles independent of shard layout.
 func (r *runner) assembleWindow(start, end float64, final bool) *Window {
@@ -525,12 +526,14 @@ func (r *runner) assembleWindow(start, end float64, final bool) *Window {
 			tHist[b] += v
 		}
 	}
-	xs := r.respScratch[:0]
+	// fillRows sorted every group's sample, so the Total is a merge of
+	// those runs, not a sort of their union.
+	runs := r.respRuns[:0]
 	for g := 0; g < r.ngroups; g++ {
-		xs = owner(g).acc.resp[g].AppendValues(xs)
+		runs = append(runs, owner(g).acc.resp[g].SortedValues(nil))
 	}
-	sort.Float64s(xs)
-	r.respScratch = xs
+	xs := stats.MergeSorted(r.respScratch[:0], runs...)
+	r.respScratch, r.respRuns = xs, runs
 	if len(xs) > 0 {
 		w.Total.RespMean = stats.SortedMean(xs)
 		w.Total.RespP50 = stats.SortedQuantile(xs, 0.5)
@@ -736,11 +739,14 @@ func (r *runner) results(horizon float64) *Results {
 		res.PowerSavingRatio = 1 - res.Energy/res.NoSavingEnergy
 	}
 	if completions > 0 {
-		xs := make([]float64, 0, completions)
-		for _, m := range r.shards {
-			xs = m.resp.AppendValues(xs)
+		// Each shard sorts its own sample, borrowing the union buffer as
+		// radix scratch before the merge fills it.
+		xs := make([]float64, completions)
+		runs := make([][]float64, len(r.shards))
+		for i, m := range r.shards {
+			runs[i] = m.resp.SortedValues(xs)
 		}
-		sort.Float64s(xs)
+		xs = stats.MergeSorted(xs[:0], runs...)
 		res.RespMean = stats.SortedMean(xs)
 		res.RespMedian = stats.SortedQuantile(xs, 0.5)
 		res.RespP95 = stats.SortedQuantile(xs, 0.95)

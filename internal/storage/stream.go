@@ -313,8 +313,8 @@ type winAccum struct {
 	// Per-group accumulators, reset (capacity kept) every window. The
 	// farm-wide histogram and arrival totals are derived by the runner
 	// summing groups at assembly time; farm-wide quantiles come from
-	// concatenating and sorting the per-group samples, which
-	// reproduces a single farm-wide sample bit for bit.
+	// merging the sorted per-group samples, which reproduces a single
+	// farm-wide sample bit for bit.
 	resp     []stats.Sample
 	arrivals []int64
 	gaps     [][]int64

@@ -102,30 +102,40 @@ func NewAlias(weights []float64) *Alias {
 	}
 	a := &Alias{prob: make([]float64, n), alias: make([]int, n)}
 	scaled := make([]float64, n)
-	var small, large []int
-	for i, w := range weights {
-		scaled[i] = w / total * float64(n)
+	// Both worklists are stacks in one buffer: small grows up from the
+	// front (top at work[ns-1]), large down from the back (top at
+	// work[n-nl]). Every index sits on at most one list, so they never
+	// meet.
+	work := make([]int, n)
+	ns, nl := 0, 0
+	push := func(i int) {
 		if scaled[i] < 1 {
-			small = append(small, i)
+			work[ns] = i
+			ns++
 		} else {
-			large = append(large, i)
+			nl++
+			work[n-nl] = i
 		}
 	}
-	for len(small) > 0 && len(large) > 0 {
-		s := small[len(small)-1]
-		small = small[:len(small)-1]
-		l := large[len(large)-1]
-		large = large[:len(large)-1]
+	for i, w := range weights {
+		scaled[i] = w / total * float64(n)
+		push(i)
+	}
+	for ns > 0 && nl > 0 {
+		ns--
+		s := work[ns]
+		l := work[n-nl]
+		nl--
 		a.prob[s] = scaled[s]
 		a.alias[s] = l
 		scaled[l] -= 1 - scaled[s]
-		if scaled[l] < 1 {
-			small = append(small, l)
-		} else {
-			large = append(large, l)
-		}
+		push(l)
 	}
-	for _, i := range append(small, large...) {
+	for _, i := range work[:ns] {
+		a.prob[i] = 1
+		a.alias[i] = i
+	}
+	for _, i := range work[n-nl:] {
 		a.prob[i] = 1
 		a.alias[i] = i
 	}
@@ -172,10 +182,22 @@ func (b BoundedPareto) Mean() float64 {
 }
 
 // Sample draws one value by inverse-CDF.
-func (b BoundedPareto) Sample(rng *rand.Rand) float64 {
+func (b BoundedPareto) Sample(rng *rand.Rand) float64 { return b.sampler().draw(rng) }
+
+// paretoSampler is a BoundedPareto with its per-distribution constants
+// computed once: draw returns Sample's value bit for bit at half the
+// math.Pow calls, for generators that draw many values.
+type paretoSampler struct {
+	min, span, invAlpha float64
+}
+
+func (b BoundedPareto) sampler() paretoSampler {
+	return paretoSampler{min: b.Min, span: 1 - math.Pow(b.Min/b.Max, b.Alpha), invAlpha: 1 / b.Alpha}
+}
+
+func (p paretoSampler) draw(rng *rand.Rand) float64 {
 	u := rng.Float64()
-	r := math.Pow(b.Min/b.Max, b.Alpha)
-	return b.Min / math.Pow(1-u*(1-r), 1/b.Alpha)
+	return p.min / math.Pow(1-u*p.span, p.invAlpha)
 }
 
 // AlphaForMean finds the tail exponent for which a BoundedPareto on

@@ -1,14 +1,13 @@
 package workload
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 
 	"diskpack/internal/disk"
+	"diskpack/internal/stats"
 	"diskpack/internal/trace"
 )
 
@@ -239,10 +238,10 @@ func (c NERSC) Build() (*trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	dist := BoundedPareto{Min: float64(c.MinSize), Max: float64(c.MaxSize), Alpha: alpha}
+	dist := BoundedPareto{Min: float64(c.MinSize), Max: float64(c.MaxSize), Alpha: alpha}.sampler()
 	files := make([]trace.FileInfo, c.NumFiles)
 	for i := range files {
-		files[i] = trace.FileInfo{ID: i, Size: int64(dist.Sample(rng))}
+		files[i] = trace.FileInfo{ID: i, Size: int64(dist.draw(rng))}
 	}
 
 	// Popularity rank -> file: a random permutation decouples rank
@@ -294,11 +293,7 @@ func (c NERSC) Build() (*trace.Trace, error) {
 
 	// Events are timed first and filled with file IDs in time order, so
 	// the repeat mechanism sees a causally meaningful "recent" window.
-	type event struct {
-		t     float64
-		batch int // 0 = single request, else batch size
-	}
-	var events []event
+	events := make([]event, 0, c.NumRequests)
 	for budget := c.NumRequests; budget > 0; {
 		ev := event{t: sampleTime()}
 		if c.BatchFraction > 0 && rng.Float64() < c.BatchFraction {
@@ -312,9 +307,7 @@ func (c NERSC) Build() (*trace.Trace, error) {
 		}
 		events = append(events, ev)
 	}
-	// slices.SortFunc runs the same pdqsort as sort.Slice, so events at
-	// equal times land in sort.Slice's order.
-	slices.SortFunc(events, func(a, b event) int { return cmp.Compare(a.t, b.t) })
+	sortEvents(events)
 
 	reqs := make([]trace.Request, 0, c.NumRequests)
 	// recent is a ring of the last RepeatWindow accessed files; the k-th
@@ -359,12 +352,23 @@ func (c NERSC) Build() (*trace.Trace, error) {
 	return tr, nil
 }
 
+// event is one NERSC arrival instant before it is filled with files.
+type event struct {
+	t     float64
+	batch int // 0 = single request, else batch size
+}
+
+// sortEvents orders events by time, stably: events at equal times (two
+// equal float64 draws) keep the order they were generated in.
+func sortEvents(events []event) {
+	stats.SortStableByKey(events, make([]event, len(events)), func(ev event) uint64 { return stats.Float64Key(ev.t) })
+}
+
 // sortBySize orders file IDs by size, equal sizes by ID: the stable
-// size order of IDs listed in ascending order.
+// size order of IDs listed in ascending order. Flipping the sign bit
+// maps int64 order onto the kernel's unsigned order.
 func sortBySize(idx []int, files []trace.FileInfo) {
-	slices.SortFunc(idx, func(a, b int) int {
-		return cmp.Or(cmp.Compare(files[a].Size, files[b].Size), cmp.Compare(a, b))
-	})
+	stats.SortStableByKey(idx, make([]int, len(idx)), func(i int) uint64 { return uint64(files[i].Size) ^ 1<<63 })
 }
 
 // MarkWrites converts the first access of a fraction of files into a
