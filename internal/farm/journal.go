@@ -3,7 +3,9 @@ package farm
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -12,21 +14,22 @@ import (
 
 // Crash-tolerant incremental persistence of completed sweep points,
 // shared by cmd/disksim's -run-shard partial file and the coordinator's
-// journal (internal/coord). The format is one JSON object per line: a
-// header binding the journal to its (sweep, seed), then one
-// ShardPointResult per completed point. Every append is synced before
-// it returns, so a crash at any moment loses at most the point being
-// written; recovery discards a torn final line and refuses a journal
-// written for a different sweep or seed rather than resuming wrong
-// numbers. Observability spans may ride along as {"Span":...}
-// envelope lines (AppendSpan); recovery skips them — they are autopsy
-// material, not results, and an old reader never confuses one for a
-// point because ShardPointResult has no Span field.
+// journal (internal/coord). The journal is an obs record log whose
+// header binds it to its (sweep, seed) and whose records are one
+// ShardPointResult per completed point. Every append is also fsynced
+// before it returns, so a crash at any moment loses at most the point
+// being written. Recovery refuses a journal written for a different
+// sweep or seed rather than resuming wrong numbers. Observability spans
+// may ride along as {"Span":...} envelope lines (AppendSpan); recovery
+// skips them — they are autopsy material, not results, and an old
+// reader never confuses one for a point because ShardPointResult has no
+// Span field.
 
 // PointJournal is an open journal positioned for appending.
 type PointJournal struct {
 	path string
 	f    *os.File
+	log  *obs.RecordWriter
 }
 
 // journalHeader is the first line of every journal: the full grid
@@ -45,44 +48,74 @@ type journalHeader struct {
 // different sweep or seed is refused. Callers validate the recovered
 // points against their compiled grid (RunShard and the coordinator both
 // do), so a journal from a diverged build still fails loudly.
-func OpenPointJournal(path string, sweep Sweep, seed int64) (*PointJournal, []ShardPointResult, error) {
+func OpenPointJournal(path string, sweep Sweep, seed int64) (_ *PointJournal, _ []ShardPointResult, err error) {
 	if err := shardableSweep(sweep); err != nil {
+		return nil, nil, err
+	}
+	wantSweep, err := json.Marshal(sweep)
+	if err != nil {
 		return nil, nil, err
 	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
-	j := &PointJournal{path: path, f: f}
-	points, end, err := j.recover(sweep, seed)
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
+	var points []ShardPointResult
+	seen := make(map[int]bool)
+	end, err := obs.ReadRecords(f, func(line []byte) error {
+		var h journalHeader
+		if err := json.Unmarshal(line, &h); err != nil {
+			return fmt.Errorf("header: %w", err)
+		}
+		gotSweep, err := json.Marshal(h.Sweep)
+		if err != nil {
+			return err
+		}
+		if h.Seed != seed || !bytes.Equal(gotSweep, wantSweep) {
+			return errors.New("written for a different sweep or seed")
+		}
+		return nil
+	}, func(line []byte) error {
+		// Span envelopes are observability sidecars; results never
+		// carry a Span key, so the probe cannot misfire.
+		var env spanEnvelope
+		if json.Unmarshal(line, &env) == nil && env.Span != nil {
+			return nil
+		}
+		var pr ShardPointResult
+		if err := json.Unmarshal(line, &pr); err != nil {
+			return fmt.Errorf("corrupt record: %w", err)
+		}
+		if !seen[pr.Index] {
+			seen[pr.Index] = true
+			points = append(points, pr)
+		}
+		return nil
+	})
 	if err != nil {
-		f.Close()
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("farm: journal %s: %w — delete it to start over", path, err)
 	}
 	// Drop any torn tail so the next append starts on a line boundary.
 	if err := f.Truncate(end); err != nil {
-		f.Close()
 		return nil, nil, err
 	}
-	if _, err := f.Seek(end, 0); err != nil {
-		f.Close()
+	if _, err := f.Seek(end, io.SeekStart); err != nil {
 		return nil, nil, err
 	}
+	j := &PointJournal{path: path, f: f, log: obs.NewRecordWriter(f)}
 	if end == 0 {
-		header, err := json.Marshal(journalHeader{Seed: seed, Sweep: sweep})
-		if err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		if err := j.appendLine(header); err != nil {
-			f.Close()
+		if err := j.append(journalHeader{Seed: seed, Sweep: sweep}); err != nil {
 			return nil, nil, err
 		}
 		// A fresh journal's directory entry needs its own fsync, or a
 		// power loss could take the whole file — every synced append
 		// with it — and void the one-point crash window.
 		if err := SyncParentDir(path); err != nil {
-			f.Close()
 			return nil, nil, fmt.Errorf("farm: journal %s: syncing directory: %w", path, err)
 		}
 	}
@@ -102,74 +135,9 @@ func SyncParentDir(path string) error {
 	return d.Sync()
 }
 
-// recover reads the journal's complete lines, validating the header and
-// collecting the journaled points. It returns the byte offset after the
-// last complete line — everything beyond it is a torn append.
-func (j *PointJournal) recover(sweep Sweep, seed int64) ([]ShardPointResult, int64, error) {
-	data, err := os.ReadFile(j.path)
-	if err != nil {
-		return nil, 0, err
-	}
-	wantSweep, err := json.Marshal(sweep)
-	if err != nil {
-		return nil, 0, err
-	}
-	var points []ShardPointResult
-	seen := make(map[int]bool)
-	var end int64
-	first := true
-	for {
-		nl := bytes.IndexByte(data[end:], '\n')
-		if nl < 0 {
-			break
-		}
-		line := data[end : end+int64(nl)]
-		if first {
-			var h journalHeader
-			if err := json.Unmarshal(line, &h); err != nil {
-				return nil, 0, fmt.Errorf("farm: journal %s header: %w — delete it to start over", j.path, err)
-			}
-			gotSweep, err := json.Marshal(h.Sweep)
-			if err != nil {
-				return nil, 0, err
-			}
-			if h.Seed != seed || !bytes.Equal(gotSweep, wantSweep) {
-				return nil, 0, fmt.Errorf("farm: journal %s was written for a different sweep or seed — delete it to start over", j.path)
-			}
-			first = false
-		} else {
-			// Span envelopes are observability sidecars; results never
-			// carry a Span key, so the probe cannot misfire.
-			var env spanEnvelope
-			if err := json.Unmarshal(line, &env); err == nil && env.Span != nil {
-				end += int64(nl) + 1
-				continue
-			}
-			var pr ShardPointResult
-			if err := json.Unmarshal(line, &pr); err != nil {
-				// A complete line that does not decode is corruption, not
-				// a torn append (each append writes its newline last).
-				return nil, 0, fmt.Errorf("farm: journal %s is corrupt: %w — delete it to start over", j.path, err)
-			}
-			if !seen[pr.Index] {
-				seen[pr.Index] = true
-				points = append(points, pr)
-			}
-		}
-		end += int64(nl) + 1
-	}
-	return points, end, nil
-}
-
 // Append journals one completed point and syncs it to disk before
 // returning, so an acknowledged point survives any subsequent crash.
-func (j *PointJournal) Append(pr ShardPointResult) error {
-	line, err := json.Marshal(pr)
-	if err != nil {
-		return err
-	}
-	return j.appendLine(line)
-}
+func (j *PointJournal) Append(pr ShardPointResult) error { return j.append(pr) }
 
 // spanEnvelope wraps a span so a journal line carrying one is
 // unmistakable: point-result lines never have a Span key.
@@ -182,19 +150,16 @@ type spanEnvelope struct {
 // they exist so a coordinator journal doubles as an autopsy of which
 // worker ran which point when, next to the results themselves.
 func (j *PointJournal) AppendSpan(sp obs.Span) error {
-	line, err := json.Marshal(spanEnvelope{Span: &sp})
-	if err != nil {
-		return err
-	}
-	return j.appendLine(line)
+	return j.append(spanEnvelope{Span: &sp})
 }
 
-// appendLine writes one line and syncs.
-func (j *PointJournal) appendLine(line []byte) error {
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("farm: journal %s: %w", j.path, err)
+// append writes one record and fsyncs the file.
+func (j *PointJournal) append(v any) error {
+	err := j.log.Write(v)
+	if err == nil {
+		err = j.f.Sync()
 	}
-	if err := j.f.Sync(); err != nil {
+	if err != nil {
 		return fmt.Errorf("farm: journal %s: %w", j.path, err)
 	}
 	return nil
@@ -202,7 +167,7 @@ func (j *PointJournal) appendLine(line []byte) error {
 
 // Close closes the journal file. The file stays on disk — callers
 // delete it (Remove) once its points are persisted elsewhere.
-func (j *PointJournal) Close() error { return j.f.Close() }
+func (j *PointJournal) Close() error { return j.log.Close() }
 
 // Remove deletes the journal file; call it after the final result has
 // been durably written elsewhere.

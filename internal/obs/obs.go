@@ -17,6 +17,17 @@
 // pointer-dependent formatting — which lets the byte-identity suite
 // extend to observability output itself.
 //
+// Record logs: the telemetry stream, span logs and farm's point journal
+// share one on-disk shape, written by RecordWriter and read by
+// ReadRecords. Line 1 is a header the reader checks before trusting
+// anything else (schema name and version; the journal checks its sweep
+// and seed). Every record is its JSON encoding plus a newline, emitted
+// in one Write call, so a killed writer tears at most the final line:
+// readers drop an unterminated final line and report a complete line
+// that does not decode as corruption. A line holds at most 64 MiB;
+// writers refuse a larger record, so every log they write reads back.
+// The point journal adds an fsync after every append.
+//
 // The package deliberately imports no other diskpack package, so any
 // layer (sim, disk, storage, farm, control, coord) may publish into
 // it without import cycles.

@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -12,9 +9,9 @@ import (
 	"time"
 )
 
-// Distributed-sweep spans as schema-versioned JSONL, the fleet-scale
-// sibling of the telemetry stream: line 1 is a SpanHeader binding the
-// log to one track (a worker, the coordinator, or a shard runner) of
+// Distributed-sweep spans as a record log, the fleet-scale sibling of
+// the telemetry stream: the header is a SpanHeader binding the log to
+// one track (a worker, the coordinator, or a shard runner) of
 // one (sweep, seed), and every further line is one Span. Span IDs are
 // a pure function of (sweep hash, point, attempt, phase), so the same
 // logical work gets the same ID on every worker that touches it —
@@ -24,12 +21,8 @@ import (
 // replay-stable key (Point, Attempt, phase rank, ID), so two runs of
 // the same sweep produce merge output that differs only in the ts/dur
 // numbers, never in structure.
-//
-// A SpanRecorder writes each record with a single Write call and no
-// buffering layer, so a SIGKILLed process tears at most the final
-// line; ReadSpans tolerates exactly that (an unterminated final line
-// is dropped, anything else malformed is an error). Close ends every
-// still-open span with SpanAborted — the SIGINT flush guarantee.
+// SpanRecorder.Close ends every still-open span with SpanAborted — the
+// SIGINT flush guarantee.
 
 // SpanSchema identifies the span-log format in the header line.
 const SpanSchema = "diskpack-spans"
@@ -145,21 +138,18 @@ func phaseRank(phase string) int {
 
 // SpanRecorder streams a span log to one writer. All methods are safe
 // on a nil receiver (the disabled path) and safe for concurrent use
-// (worker slots record in parallel). Each record is emitted with a
-// single unbuffered Write, so an abrupt kill tears at most the last
-// line. Close is idempotent and ends every still-open span with
-// SpanAborted before closing the underlying writer.
+// (worker slots record in parallel). A failed write latches in the
+// log and stops it; Close reports it. Close is idempotent and ends
+// every still-open span with SpanAborted before closing the log.
 type SpanRecorder struct {
 	mu      sync.Mutex
-	w       io.Writer
-	c       io.Closer
+	log     *RecordWriter
 	now     func() time.Time
 	hash    string
 	t0      time.Time
 	started bool
 	closed  bool
 	open    map[*SpanHandle]struct{}
-	err     error
 }
 
 // SpanHandle is one in-flight span started by Begin/BeginChild; End
@@ -172,11 +162,7 @@ type SpanHandle struct {
 // NewSpanRecorder wraps w; if w is also an io.Closer, Close closes it
 // after ending open spans.
 func NewSpanRecorder(w io.Writer) *SpanRecorder {
-	r := &SpanRecorder{w: w, now: time.Now, open: map[*SpanHandle]struct{}{}}
-	if c, ok := w.(io.Closer); ok {
-		r.c = c
-	}
-	return r
+	return &SpanRecorder{log: NewRecordWriter(w), now: time.Now, open: map[*SpanHandle]struct{}{}}
 }
 
 // SetNow replaces the recorder's clock (test seam; aligns with the
@@ -211,7 +197,7 @@ func (r *SpanRecorder) Start(h SpanHeader) error {
 	r.hash = h.SweepHash
 	r.t0 = time.Unix(0, h.StartUnixNano)
 	r.started = true
-	return r.writeLineLocked(&h)
+	return r.log.Write(&h)
 }
 
 // Since converts a wall-clock instant to seconds since the header's
@@ -293,9 +279,7 @@ func (h *SpanHandle) End(status string, args map[string]any) {
 		}
 		sp.Args = merged
 	}
-	if err := r.writeLineLocked(&sp); err != nil && r.err == nil {
-		r.err = err
-	}
+	r.log.Write(&sp)
 }
 
 // Record writes a fully built span record as-is (Start/End already
@@ -314,11 +298,7 @@ func (r *SpanRecorder) Record(sp Span) error {
 	if sp.ID == "" {
 		sp.ID = SpanID(r.hash, sp.Point, sp.Attempt, sp.Phase)
 	}
-	err := r.writeLineLocked(&sp)
-	if err != nil && r.err == nil {
-		r.err = err
-	}
-	return err
+	return r.log.Write(&sp)
 }
 
 // Event records an instant (zero-duration) span at the current clock.
@@ -343,9 +323,7 @@ func (r *SpanRecorder) Event(point, attempt int, phase, status string, args map[
 		End:     at,
 		Args:    args,
 	}
-	if err := r.writeLineLocked(&sp); err != nil && r.err == nil {
-		r.err = err
-	}
+	r.log.Write(&sp)
 }
 
 // Hash returns the sweep hash from the header ("" before Start or on
@@ -360,9 +338,8 @@ func (r *SpanRecorder) Hash() string {
 }
 
 // Close ends every still-open span with SpanAborted, then closes the
-// underlying writer if it is closable. It returns the first write
-// error seen over the recorder's lifetime. Safe on nil; calling twice
-// returns nil the second time.
+// log. It returns the log's first write error, if any. Safe on nil;
+// calling twice returns nil the second time.
 func (r *SpanRecorder) Close() error {
 	if r == nil {
 		return nil
@@ -388,29 +365,10 @@ func (r *SpanRecorder) Close() error {
 		sp := h.span
 		sp.Status = SpanAborted
 		sp.End = end
-		if err := r.writeLineLocked(&sp); err != nil && r.err == nil {
-			r.err = err
-		}
+		r.log.Write(&sp)
 	}
 	r.closed = true
-	err := r.err
-	if r.c != nil {
-		if cerr := r.c.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
-
-// writeLineLocked marshals v and emits it as one line with a single
-// Write call (callers hold r.mu).
-func (r *SpanRecorder) writeLineLocked(v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	_, err = r.w.Write(append(b, '\n'))
-	return err
+	return r.log.Close()
 }
 
 // spanLess is the replay-stable span order: (Point, Attempt, phase
@@ -438,50 +396,14 @@ type SpanLog struct {
 	Spans  []Span
 }
 
-// ReadSpans parses a span JSONL stream, enforcing the schema name and
-// version in the header line. A final line without a terminating
-// newline is dropped — the torn tail a SIGKILLed writer leaves — but
-// any other malformed line is an error.
+// ReadSpans parses a span record log, enforcing the schema name and
+// version in the header line.
 func ReadSpans(r io.Reader) (*SpanLog, error) {
-	data, err := io.ReadAll(r)
+	h, spans, err := readLog[SpanHeader, Span](r, "span", SpanSchema, SpanVersion)
 	if err != nil {
 		return nil, err
 	}
-	// Only newline-terminated lines are trusted; an unterminated tail
-	// is the torn final line of a killed writer.
-	var lines [][]byte
-	for {
-		i := bytes.IndexByte(data, '\n')
-		if i < 0 {
-			break
-		}
-		lines = append(lines, data[:i])
-		data = data[i+1:]
-	}
-	if len(lines) == 0 {
-		return nil, fmt.Errorf("obs: empty span stream")
-	}
-	var log SpanLog
-	if err := json.Unmarshal(lines[0], &log.Header); err != nil {
-		return nil, fmt.Errorf("obs: span header: %w", err)
-	}
-	if log.Header.Schema != SpanSchema {
-		return nil, fmt.Errorf("obs: span schema %q, want %q", log.Header.Schema, SpanSchema)
-	}
-	if log.Header.Version != SpanVersion {
-		return nil, fmt.Errorf("obs: span version %d, reader understands %d", log.Header.Version, SpanVersion)
-	}
-	for i, line := range lines[1:] {
-		if len(line) == 0 {
-			continue
-		}
-		var sp Span
-		if err := json.Unmarshal(line, &sp); err != nil {
-			return nil, fmt.Errorf("obs: span record %d: %w", i, err)
-		}
-		log.Spans = append(log.Spans, sp)
-	}
-	return &log, nil
+	return &SpanLog{Header: *h, Spans: spans}, nil
 }
 
 // MergeSpans validates and orders a set of span logs from one sweep:
@@ -537,25 +459,14 @@ func WriteSpanTrace(w io.Writer, logs []SpanLog) error {
 			t0 = l.Header.StartUnixNano
 		}
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	first := true
-	emit := func(ev chromeEvent) error {
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		if !first {
-			if _, err := bw.WriteString(",\n"); err != nil {
-				return err
-			}
-		}
-		first = false
-		_, err = bw.Write(b)
-		return err
-	}
+	return writeChromeTrace(w, func(emit func(chromeEvent) error) error {
+		return renderSpans(merged, t0, emit)
+	})
+}
+
+// renderSpans emits the merged logs as trace events: the process and
+// one thread per track, then each track's spans in merge order.
+func renderSpans(merged []SpanLog, t0 int64, emit func(chromeEvent) error) error {
 	if err := emit(chromeEvent{Name: "process_name", Ph: "M", Pid: sweepPid,
 		Args: map[string]any{"name": "sweep"}}); err != nil {
 		return err
@@ -600,8 +511,5 @@ func WriteSpanTrace(w io.Writer, logs []SpanLog) error {
 			}
 		}
 	}
-	if _, err := bw.WriteString("\n]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return nil
 }

@@ -1,21 +1,13 @@
 package obs
 
-import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
-	"sync"
-)
+import "io"
 
-// Per-window telemetry as schema-versioned JSONL: line 1 is a
+// Per-window telemetry as a record log: the header is a
 // TelemetryHeader identifying the schema, the run, and the histogram
 // bucket layouts; every further line is one TelemetryWindow, in window
 // order. The record types deliberately mirror storage's Window /
 // GroupWindow schema without importing it (this package sits below
-// storage), and producers convert at the boundary. Consumers parse
-// with ReadTelemetry, which enforces the schema and version so a
-// format change can never be misread silently.
+// storage), and producers convert at the boundary.
 
 // TelemetrySchema identifies the stream format in the header line.
 const TelemetrySchema = "diskpack-telemetry"
@@ -85,25 +77,16 @@ type TelemetryWindow struct {
 	RebuildTime     float64
 }
 
-// TelemetryWriter streams header and window records as JSONL. It is
-// safe for concurrent use and safe on a nil receiver (records
-// nothing), and Close is idempotent — the CLI closes it both on the
-// normal path and from the SIGINT path.
-type TelemetryWriter struct {
-	mu     sync.Mutex
-	bw     *bufio.Writer
-	c      io.Closer
-	closed bool
-}
+// TelemetryWriter is the record log a run's telemetry goes to. It is
+// safe for concurrent use and on a nil receiver (records nothing), and
+// Close is idempotent — the CLI closes it both on the normal path and
+// from the SIGINT path.
+type TelemetryWriter RecordWriter
 
 // NewTelemetryWriter wraps w; if w is also an io.Closer, Close closes
-// it after flushing.
+// it.
 func NewTelemetryWriter(w io.Writer) *TelemetryWriter {
-	t := &TelemetryWriter{bw: bufio.NewWriter(w)}
-	if c, ok := w.(io.Closer); ok {
-		t.c = c
-	}
-	return t
+	return (*TelemetryWriter)(NewRecordWriter(w))
 }
 
 // WriteHeader writes the schema header line, filling Schema and
@@ -114,7 +97,7 @@ func (t *TelemetryWriter) WriteHeader(h TelemetryHeader) error {
 	}
 	h.Schema = TelemetrySchema
 	h.Version = TelemetryVersion
-	return t.writeLine(&h)
+	return (*RecordWriter)(t).Write(&h)
 }
 
 // WriteWindow writes one window record line. No-op on nil (by-pointer
@@ -123,78 +106,15 @@ func (t *TelemetryWriter) WriteWindow(w *TelemetryWindow) error {
 	if t == nil || w == nil {
 		return nil
 	}
-	return t.writeLine(w)
+	return (*RecordWriter)(t).Write(w)
 }
 
-func (t *TelemetryWriter) writeLine(v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return fmt.Errorf("obs: telemetry writer closed")
-	}
-	if _, err := t.bw.Write(b); err != nil {
-		return err
-	}
-	return t.bw.WriteByte('\n')
-}
+// Close closes the underlying writer if it is closable. Safe on nil;
+// calling twice returns nil the second time.
+func (t *TelemetryWriter) Close() error { return (*RecordWriter)(t).Close() }
 
-// Close flushes buffered records and closes the underlying writer if
-// it is closable. Safe on nil; calling twice returns nil the second
-// time.
-func (t *TelemetryWriter) Close() error {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil
-	}
-	t.closed = true
-	err := t.bw.Flush()
-	if t.c != nil {
-		if cerr := t.c.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
-
-// ReadTelemetry parses a telemetry JSONL stream, enforcing the schema
+// ReadTelemetry parses a telemetry record log, enforcing the schema
 // name and version in the header line.
 func ReadTelemetry(r io.Reader) (*TelemetryHeader, []TelemetryWindow, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, nil, err
-		}
-		return nil, nil, fmt.Errorf("obs: empty telemetry stream")
-	}
-	var h TelemetryHeader
-	if err := json.Unmarshal(sc.Bytes(), &h); err != nil {
-		return nil, nil, fmt.Errorf("obs: telemetry header: %w", err)
-	}
-	if h.Schema != TelemetrySchema {
-		return nil, nil, fmt.Errorf("obs: telemetry schema %q, want %q", h.Schema, TelemetrySchema)
-	}
-	if h.Version != TelemetryVersion {
-		return nil, nil, fmt.Errorf("obs: telemetry version %d, reader understands %d", h.Version, TelemetryVersion)
-	}
-	var ws []TelemetryWindow
-	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var w TelemetryWindow
-		if err := json.Unmarshal(sc.Bytes(), &w); err != nil {
-			return nil, nil, fmt.Errorf("obs: telemetry window %d: %w", len(ws), err)
-		}
-		ws = append(ws, w)
-	}
-	return &h, ws, sc.Err()
+	return readLog[TelemetryHeader, TelemetryWindow](r, "telemetry", TelemetrySchema, TelemetryVersion)
 }

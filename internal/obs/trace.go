@@ -142,40 +142,41 @@ func usec(s float64) float64 { return s * 1e6 }
 // ({"displayTimeUnit":...,"traceEvents":[...]}). Safe on a nil
 // recorder (writes an empty trace).
 func (r *TraceRecorder) WriteChromeTrace(w io.Writer) error {
+	return writeChromeTrace(w, r.render)
+}
+
+// writeChromeTrace is the one Chrome-trace encoder: the JSON object
+// envelope around the events render emits, one event per line,
+// comma-joined.
+func writeChromeTrace(w io.Writer, render func(emit func(chromeEvent) error) error) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	first := true
-	emit := func(ev chromeEvent) error {
+	// bufio.Writer errors are sticky: Flush reports any earlier one.
+	bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
+	sep := ""
+	err := render(func(ev chromeEvent) error {
 		b, err := json.Marshal(ev)
 		if err != nil {
 			return err
 		}
-		if !first {
-			if _, err := bw.WriteString(",\n"); err != nil {
-				return err
-			}
-		}
-		first = false
+		bw.WriteString(sep)
+		sep = ",\n"
 		_, err = bw.Write(b)
 		return err
-	}
-	if r != nil {
-		if err := r.render(emit); err != nil {
-			return err
-		}
-	}
-	if _, err := bw.WriteString("\n]}\n"); err != nil {
+	})
+	if err != nil {
 		return err
 	}
+	bw.WriteString("\n]}\n")
 	return bw.Flush()
 }
 
 // render walks the recording in deterministic order: metadata, then
 // per-disk span timelines in disk-ID order, then run-level events in
-// append order.
+// append order. A nil recorder renders nothing.
 func (r *TraceRecorder) render(emit func(chromeEvent) error) error {
+	if r == nil {
+		return nil
+	}
 	meta := func(pid, tid int, kind, name string) error {
 		return emit(chromeEvent{Name: kind, Ph: "M", Pid: pid, Tid: tid,
 			Args: map[string]any{"name": name}})
